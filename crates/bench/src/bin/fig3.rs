@@ -27,8 +27,8 @@
 
 use uc_bench::{roster_from_args, BenchJson};
 use uc_core::devices::DeviceKind;
-use uc_core::experiments::fig3::{self, CheckpointDir, Fig3Config};
-use uc_core::experiments::Executor;
+use uc_core::experiments::fig3::{self, Fig3Config};
+use uc_core::experiments::{Executor, RecordStore};
 use uc_core::report::render_fig3;
 
 /// Reads the value of `--flag <n>` as a positive integer, if present.
@@ -84,7 +84,7 @@ fn main() {
     );
     let results = match &checkpoint_dir {
         Some(dir) => {
-            let mut store = CheckpointDir::create(dir).expect("create checkpoint dir");
+            let mut store = RecordStore::create(dir).expect("create checkpoint dir");
             if let Some(n) = kill_after {
                 store = store.with_kill_after(n as u64);
             }

@@ -56,7 +56,8 @@
 
 use uc_bench::{scale_from_args, BenchJson};
 use uc_blockdev::IoRequest;
-use uc_core::experiments::fleet::{self as fleet_exp, FleetRunConfig, FleetStore};
+use uc_core::experiments::fleet::{self as fleet_exp, FleetRunConfig};
+use uc_core::experiments::RecordStore;
 use uc_core::report::render_fleet_report;
 use uc_fleet::{RebalancePolicy, ShapeMix, TenantSpec};
 use uc_serve::{Body, LaneTarget, WireClient};
@@ -264,7 +265,7 @@ fn main() {
     let started = std::time::Instant::now();
     let verdict = match &checkpoint_dir {
         Some(dir) => {
-            let mut store = FleetStore::create(dir).expect("create checkpoint dir");
+            let mut store = RecordStore::create(dir).expect("create checkpoint dir");
             if let Some(n) = kill_after {
                 store = store.with_kill_after(n as u64);
             }
@@ -272,7 +273,7 @@ fn main() {
                 "persisting epoch checkpoints to {dir} ({})",
                 if resume { "resuming" } else { "fresh run" }
             );
-            fleet_exp::run_durable(&config, &mut store, resume).expect("fleet durable run")
+            fleet_exp::run_durable(&config, &store, resume).expect("fleet durable run")
         }
         None => fleet_exp::run(&config).expect("fleet run"),
     };

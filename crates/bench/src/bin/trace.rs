@@ -44,8 +44,8 @@
 
 use uc_bench::{generated_trace, roster_from_args};
 use uc_core::devices::DeviceKind;
-use uc_core::experiments::trace::{self as trace_exp, TraceRunConfig, TraceStore};
-use uc_core::experiments::Executor;
+use uc_core::experiments::trace::{self as trace_exp, TraceRunConfig};
+use uc_core::experiments::{Executor, RecordStore};
 use uc_core::report::render_trace_report;
 use uc_sim::SimDuration;
 use uc_trace::{load_trace, replay_with, save_trace, ReplayConfig, Trace};
@@ -223,7 +223,7 @@ fn main() {
     );
     let results = match &checkpoint_dir {
         Some(dir) => {
-            let mut store = TraceStore::create(dir).expect("create checkpoint dir");
+            let mut store = RecordStore::create(dir).expect("create checkpoint dir");
             if let Some(n) = kill_after {
                 store = store.with_kill_after(n as u64);
             }

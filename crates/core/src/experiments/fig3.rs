@@ -19,10 +19,8 @@
 //! facade-level property tests).
 
 use crate::devices::{payload_codecs, DeviceKind, DeviceRoster};
+use crate::experiments::store::{RecordStore, StoreRecord};
 use crate::experiments::Executor;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use uc_blockdev::{CheckpointDevice, CheckpointError, DeviceCheckpoint, IoError, PersistError};
 use uc_metrics::Series;
 use uc_persist::{DecodeError, Decoder, Encoder, Persist};
@@ -238,19 +236,23 @@ pub struct Fig3Checkpoint {
     pub driver: DriverCheckpoint,
 }
 
-impl Fig3Checkpoint {
-    /// The on-disk record kind tag of a serialized fig3 segment
-    /// checkpoint. Bump the suffix when the layout changes.
-    pub const RECORD_KIND: &'static str = "uc.fig3-checkpoint.v1";
+/// The store slot of `kind`'s segment checkpoints.
+fn slot(kind: DeviceKind) -> String {
+    format!("fig3-{}", kind.slug())
+}
 
-    /// Appends this checkpoint's wire form to `w`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::NotPersistent`] if the embedded device
-    /// checkpoint carries no persistence codec (roster-built devices
-    /// always do).
-    pub fn encode_into(&self, w: &mut Encoder) -> Result<(), PersistError> {
+impl StoreRecord for Fig3Checkpoint {
+    const RECORD_KIND: &'static str = "uc.fig3-checkpoint.v1";
+
+    fn slot(&self) -> String {
+        slot(self.kind)
+    }
+
+    fn boundary(&self) -> usize {
+        self.completed
+    }
+
+    fn encode_into(&self, w: &mut Encoder) -> Result<(), PersistError> {
         self.kind.encode(w);
         w.put_u64(self.capacity);
         self.window.encode(w);
@@ -261,14 +263,9 @@ impl Fig3Checkpoint {
         Ok(())
     }
 
-    /// Parses a checkpoint back out of its wire form, thawing the device
-    /// payload through the roster's codec registry
+    /// Thaws the device payload through the roster's codec registry
     /// ([`payload_codecs`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`DecodeError`] on any malformed input.
-    pub fn decode_from(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+    fn decode_from(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         let kind = DeviceKind::decode(r)?;
         let capacity = r.get_u64()?;
         let window = SimDuration::decode(r)?;
@@ -290,39 +287,6 @@ impl Fig3Checkpoint {
             device,
             driver,
         })
-    }
-
-    /// Writes this checkpoint to `path` as a self-describing record file
-    /// (atomically: temp file + rename).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError`] on codec-less payloads or filesystem
-    /// failures.
-    pub fn save_to(&self, path: &Path) -> Result<(), PersistError> {
-        let mut w = Encoder::new();
-        self.encode_into(&mut w)?;
-        uc_persist::write_record_file(path, Self::RECORD_KIND, w.as_bytes())?;
-        Ok(())
-    }
-
-    /// Reads a checkpoint back from a record file written by
-    /// [`Fig3Checkpoint::save_to`].
-    ///
-    /// # Errors
-    ///
-    /// Every failure — unreadable file, foreign bytes, truncation,
-    /// flipped bits, future format version, unknown payload kind — is a
-    /// typed [`DecodeError`], never a panic.
-    pub fn load_from(path: &Path) -> Result<Self, DecodeError> {
-        let (kind, payload) = uc_persist::read_record_file(path)?;
-        if kind != Self::RECORD_KIND {
-            return Err(DecodeError::UnknownKind { found: kind });
-        }
-        let mut r = Decoder::new(&payload);
-        let checkpoint = Self::decode_from(&mut r)?;
-        r.finish()?;
-        Ok(checkpoint)
     }
 }
 
@@ -580,168 +544,6 @@ impl From<IoError> for DurableError {
     }
 }
 
-/// A directory of durable fig3 segment checkpoints.
-///
-/// One file per device per reached segment boundary, named
-/// `fig3-<slug>.seg<completed>.ckpt`. After every successful save the
-/// superseded older boundaries of that device are pruned, so the
-/// directory holds at most one checkpoint per device over an entire
-/// endurance run ([`CheckpointDir::prune_older`]). Resume scans newest →
-/// oldest and takes the first file that decodes cleanly
-/// ([`CheckpointDir::latest`]), so a truncated or half-written file
-/// degrades into resuming from the previous boundary rather than an
-/// error.
-///
-/// The store is cheaply cloneable and `Send + Sync`: the pipelined
-/// runner's worker threads share it.
-#[derive(Debug, Clone)]
-pub struct CheckpointDir {
-    dir: PathBuf,
-    kill_after: Option<u64>,
-    saves: Arc<AtomicU64>,
-}
-
-impl CheckpointDir {
-    /// Opens (creating if needed) a checkpoint directory.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the filesystem error if the directory cannot be
-    /// created.
-    pub fn create(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        Ok(CheckpointDir {
-            dir,
-            kill_after: None,
-            saves: Arc::new(AtomicU64::new(0)),
-        })
-    }
-
-    /// The directory holding the checkpoint files.
-    pub fn path(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Crash-testing hook: terminate the *process* (exit code 42)
-    /// immediately after the `n`-th successful checkpoint save.
-    ///
-    /// This is how the CI kill-and-resume gate crashes a run
-    /// deterministically at a segment boundary — the strongest possible
-    /// crash short of `kill -9`, since no destructors run and no further
-    /// state is written. Never set in normal operation.
-    pub fn with_kill_after(mut self, saves: u64) -> Self {
-        self.kill_after = Some(saves);
-        self
-    }
-
-    /// Checkpoints saved through this store (and its clones) so far.
-    pub fn saves(&self) -> u64 {
-        self.saves.load(Ordering::Relaxed)
-    }
-
-    fn file_name(kind: DeviceKind, completed: usize) -> String {
-        format!("fig3-{}.seg{completed:04}.ckpt", kind.slug())
-    }
-
-    /// The file path of `kind`'s checkpoint at segment boundary
-    /// `completed`.
-    pub fn segment_path(&self, kind: DeviceKind, completed: usize) -> PathBuf {
-        self.dir.join(Self::file_name(kind, completed))
-    }
-
-    /// Persists one segment-boundary checkpoint, returning its path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PersistError`] from the underlying save.
-    pub fn save(&self, checkpoint: &Fig3Checkpoint) -> Result<PathBuf, PersistError> {
-        let path = self.segment_path(checkpoint.kind, checkpoint.completed);
-        checkpoint.save_to(&path)?;
-        let saved = self.saves.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(limit) = self.kill_after {
-            if saved >= limit {
-                eprintln!(
-                    "fig3: simulated crash after {saved} checkpoint save(s) \
-                     (--kill-after {limit})"
-                );
-                std::process::exit(42);
-            }
-        }
-        Ok(path)
-    }
-
-    /// Segment boundaries of `kind` present on disk, ascending.
-    fn boundaries(&self, kind: DeviceKind) -> Vec<usize> {
-        let prefix = format!("fig3-{}.seg", kind.slug());
-        let mut found: Vec<usize> = std::fs::read_dir(&self.dir)
-            .into_iter()
-            .flatten()
-            .flatten()
-            .filter_map(|entry| {
-                let name = entry.file_name().into_string().ok()?;
-                let rest = name.strip_prefix(&prefix)?.strip_suffix(".ckpt")?;
-                rest.parse::<usize>().ok()
-            })
-            .collect();
-        found.sort_unstable();
-        found
-    }
-
-    /// Loads `kind`'s newest checkpoint that decodes cleanly, if any.
-    ///
-    /// Corrupt or unreadable files are skipped (newest first) with a
-    /// note on stderr — a crash can leave at most torn temp files, but a
-    /// degraded disk must not make resume fail outright while an older
-    /// valid boundary still exists.
-    pub fn latest(&self, kind: DeviceKind) -> Option<Fig3Checkpoint> {
-        self.latest_matching(kind, |_| true)
-    }
-
-    /// Loads `kind`'s newest checkpoint that decodes cleanly **and**
-    /// satisfies `accept`, scanning newest → oldest.
-    ///
-    /// This is the resume entry point: a stale higher-numbered boundary
-    /// (e.g. left over from a run with a different `--segments`) is
-    /// reported and scanned *past*, so it can never shadow an older file
-    /// that does match the current plan.
-    pub fn latest_matching<F>(&self, kind: DeviceKind, accept: F) -> Option<Fig3Checkpoint>
-    where
-        F: Fn(&Fig3Checkpoint) -> bool,
-    {
-        for completed in self.boundaries(kind).into_iter().rev() {
-            let path = self.segment_path(kind, completed);
-            match Fig3Checkpoint::load_from(&path) {
-                Ok(checkpoint) if checkpoint.kind != kind => eprintln!(
-                    "fig3: ignoring {} (names device {}, expected {kind})",
-                    path.display(),
-                    checkpoint.kind
-                ),
-                Ok(checkpoint) if accept(&checkpoint) => return Some(checkpoint),
-                Ok(_) => eprintln!(
-                    "fig3: ignoring {} (taken under a different plan — \
-                     scale/config/segments); trying older boundaries",
-                    path.display()
-                ),
-                Err(e) => eprintln!("fig3: ignoring {}: {e}", path.display()),
-            }
-        }
-        None
-    }
-
-    /// Deletes `kind`'s checkpoints at boundaries older than
-    /// `completed`, so the directory does not grow unboundedly over a
-    /// full endurance run. Best-effort: deletion errors are ignored (the
-    /// next prune retries).
-    pub fn prune_older(&self, kind: DeviceKind, completed: usize) {
-        for old in self.boundaries(kind) {
-            if old < completed {
-                let _ = std::fs::remove_file(self.segment_path(kind, old));
-            }
-        }
-    }
-}
-
 /// Runs the endurance experiment like [`run_pipelined`], additionally
 /// persisting every segment-boundary checkpoint into `store` — and, with
 /// `resume`, continuing each device from its newest valid on-disk
@@ -768,7 +570,7 @@ pub fn run_pipelined_durable(
     cfg: &Fig3Config,
     segments: usize,
     exec: &Executor,
-    store: &CheckpointDir,
+    store: &RecordStore<Fig3Checkpoint>,
     resume: bool,
 ) -> Result<Vec<Fig3Result>, DurableError> {
     type Stage = Box<
@@ -784,7 +586,9 @@ pub fn run_pipelined_durable(
         // plan may continue it.
         let plan = Plan::of(roster, kind, cfg, segments);
         let from_disk = if resume {
-            store.latest_matching(kind, |checkpoint| plan.matches(checkpoint))
+            store.latest(&slot(kind), |checkpoint| {
+                checkpoint.kind == kind && plan.matches(checkpoint)
+            })
         } else {
             None
         };
@@ -824,7 +628,6 @@ pub fn run_pipelined_durable(
                     state.advance()?;
                     let checkpoint = state.checkpoint();
                     store.save(&checkpoint).map_err(DurableError::Save)?;
-                    store.prune_older(checkpoint.kind, checkpoint.completed);
                     Ok(checkpoint)
                 }) as Stage
             })
@@ -918,13 +721,13 @@ mod tests {
         assert!(SegmentedRun::resume(&other, frozen).is_err());
     }
 
-    fn temp_store(name: &str) -> CheckpointDir {
+    fn temp_store(name: &str) -> RecordStore<Fig3Checkpoint> {
         let dir = std::env::temp_dir()
             .join("uc-fig3-durable-tests")
             .join(format!("{name}-{}", std::process::id()));
         // Stale files from a previous failed run would perturb resume.
         let _ = std::fs::remove_dir_all(&dir);
-        CheckpointDir::create(dir).expect("create checkpoint dir")
+        RecordStore::create(dir).expect("create checkpoint dir")
     }
 
     #[test]
@@ -951,7 +754,7 @@ mod tests {
             );
             // Superseded boundaries were pruned: exactly the final
             // checkpoint file remains per device.
-            let files: Vec<usize> = store.boundaries(kind);
+            let files: Vec<usize> = store.boundaries(&slot(kind));
             assert_eq!(files, vec![4], "{kind}: stale checkpoints must be pruned");
         }
         assert_eq!(store.saves(), 3 * 5, "3 devices x (seg0 + 4 boundaries)");
@@ -1022,62 +825,6 @@ mod tests {
         .unwrap();
         let plain = run(&roster, DeviceKind::LocalSsd, &cfg).unwrap();
         assert_eq!(render_fig3(&resumed[0]), render_fig3(&plain));
-        let _ = std::fs::remove_dir_all(store.path());
-    }
-
-    #[test]
-    fn stale_higher_boundary_does_not_shadow_matching_checkpoint() {
-        // A leftover seg0003 from an 8-segment plan must be scanned
-        // *past*, not merely rejected, so the seg0001 of the current
-        // 4-segment plan still resumes.
-        let roster = DeviceRoster::with_capacities(128 << 20, 128 << 20);
-        let cfg = Fig3Config::quick();
-        let store = temp_store("stale-shadow");
-        let kind = DeviceKind::LocalSsd;
-        let mut stale = SegmentedRun::start(&roster, kind, &cfg, 8).unwrap();
-        for _ in 0..3 {
-            stale.advance().unwrap();
-        }
-        store.save(&stale.checkpoint()).unwrap();
-        let mut current = SegmentedRun::start(&roster, kind, &cfg, 4).unwrap();
-        current.advance().unwrap();
-        store.save(&current.checkpoint()).unwrap();
-
-        let found = store
-            .latest_matching(kind, |cp| cp.milestones.len() == 4)
-            .expect("the matching older boundary must be found");
-        assert_eq!(found.completed, 1);
-        let resumed = run_pipelined_durable(
-            &roster,
-            &[kind],
-            &cfg,
-            4,
-            &Executor::sequential(),
-            &store,
-            true,
-        )
-        .unwrap();
-        let plain = run(&roster, kind, &cfg).unwrap();
-        assert_eq!(render_fig3(&resumed[0]), render_fig3(&plain));
-        let _ = std::fs::remove_dir_all(store.path());
-    }
-
-    #[test]
-    fn corrupt_newest_checkpoint_falls_back_to_older_boundary() {
-        let roster = DeviceRoster::with_capacities(128 << 20, 128 << 20);
-        let cfg = Fig3Config::quick();
-        let store = temp_store("corrupt-fallback");
-        let kind = DeviceKind::LocalSsd;
-        let mut run_state = SegmentedRun::start(&roster, kind, &cfg, 4).unwrap();
-        run_state.advance().unwrap();
-        store.save(&run_state.checkpoint()).unwrap();
-        run_state.advance().unwrap();
-        let newest = store.save(&run_state.checkpoint()).unwrap();
-        // Torn write: the newest boundary is half a file.
-        let bytes = std::fs::read(&newest).unwrap();
-        std::fs::write(&newest, &bytes[..bytes.len() / 2]).unwrap();
-        let latest = store.latest(kind).expect("older boundary survives");
-        assert_eq!(latest.completed, 1, "falls back past the torn file");
         let _ = std::fs::remove_dir_all(store.path());
     }
 

@@ -24,7 +24,7 @@
 
 use crate::contract::thresholds::{FLEET_MIN_FAIRNESS, FLEET_TENANT_LATENCY_BLOWUP};
 use crate::devices::payload_codecs;
-use std::path::{Path, PathBuf};
+use crate::experiments::store::{RecordStore, StoreRecord};
 use uc_blockdev::{CheckpointError, DeviceCheckpoint, IoError, PersistError};
 use uc_essd::{Essd, EssdConfig};
 use uc_fleet::{FleetConfig, FleetDevice, FleetReport, FleetSim, FleetSnapshot};
@@ -214,19 +214,21 @@ pub struct FleetCheckpoint {
     pub devices: Vec<DeviceCheckpoint>,
 }
 
-impl FleetCheckpoint {
-    /// The on-disk record kind tag of a serialized fleet checkpoint.
-    /// Bump the suffix when the layout changes.
-    pub const RECORD_KIND: &'static str = "uc.fleet.v1";
+/// The store slot of the fleet's epoch checkpoints (one per run).
+const SLOT: &str = "fleet";
 
-    /// Appends this checkpoint's wire form to `w`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::NotPersistent`] if any embedded device
-    /// checkpoint carries no persistence codec (pool-built devices
-    /// always do).
-    pub fn encode_into(&self, w: &mut Encoder) -> Result<(), PersistError> {
+impl StoreRecord for FleetCheckpoint {
+    const RECORD_KIND: &'static str = "uc.fleet.v1";
+
+    fn slot(&self) -> String {
+        SLOT.to_string()
+    }
+
+    fn boundary(&self) -> usize {
+        self.snapshot.epoch as usize
+    }
+
+    fn encode_into(&self, w: &mut Encoder) -> Result<(), PersistError> {
         w.put_u32(self.fingerprint);
         self.snapshot.encode(w);
         w.put_u64(self.devices.len() as u64);
@@ -236,13 +238,8 @@ impl FleetCheckpoint {
         Ok(())
     }
 
-    /// Parses a checkpoint back out of its wire form, thawing the device
-    /// payloads through the roster's codec registry.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`DecodeError`] on any malformed input.
-    pub fn decode_from(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+    /// Thaws the device payloads through the roster's codec registry.
+    fn decode_from(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         let fingerprint = r.get_u32()?;
         let snapshot = FleetSnapshot::decode(r)?;
         let count = r.get_u64()? as usize;
@@ -261,37 +258,6 @@ impl FleetCheckpoint {
             snapshot,
             devices,
         })
-    }
-
-    /// Writes this checkpoint to `path` as a self-describing record file
-    /// (atomically: temp file + rename).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError`] on codec-less payloads or filesystem
-    /// failures.
-    pub fn save_to(&self, path: &Path) -> Result<(), PersistError> {
-        let mut w = Encoder::new();
-        self.encode_into(&mut w)?;
-        uc_persist::write_record_file(path, Self::RECORD_KIND, w.as_bytes())?;
-        Ok(())
-    }
-
-    /// Reads a checkpoint back from a record file written by
-    /// [`FleetCheckpoint::save_to`].
-    ///
-    /// # Errors
-    ///
-    /// Every failure is a typed [`DecodeError`], never a panic.
-    pub fn load_from(path: &Path) -> Result<Self, DecodeError> {
-        let (kind, payload) = uc_persist::read_record_file(path)?;
-        if kind != Self::RECORD_KIND {
-            return Err(DecodeError::UnknownKind { found: kind });
-        }
-        let mut r = Decoder::new(&payload);
-        let checkpoint = Self::decode_from(&mut r)?;
-        r.finish()?;
-        Ok(checkpoint)
     }
 }
 
@@ -325,117 +291,9 @@ impl From<IoError> for FleetRunError {
     }
 }
 
-/// A directory holding one durable fleet checkpoint (`fleet.ckpt`),
-/// atomically overwritten at every epoch boundary, so the newest
-/// boundary is always the only one on disk and a crash can never leave a
-/// torn record (temp file + rename).
-#[derive(Debug, Clone)]
-pub struct FleetStore {
-    dir: PathBuf,
-    kill_after: Option<u64>,
-    saves: u64,
-}
-
-impl FleetStore {
-    /// Opens (creating if needed) a checkpoint directory.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the filesystem error if the directory cannot be
-    /// created.
-    pub fn create(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        Ok(FleetStore {
-            dir,
-            kill_after: None,
-            saves: 0,
-        })
-    }
-
-    /// Crash-testing hook: terminate the *process* (exit code 42)
-    /// immediately after the `n`-th successful checkpoint save — the
-    /// same deterministic stand-in for `kill -9` the fig3 and trace
-    /// crash-resume gates use. Never set in normal operation.
-    pub fn with_kill_after(mut self, saves: u64) -> Self {
-        self.kill_after = Some(saves);
-        self
-    }
-
-    /// Checkpoints saved through this store so far.
-    pub fn saves(&self) -> u64 {
-        self.saves
-    }
-
-    /// The checkpoint file path.
-    pub fn checkpoint_path(&self) -> PathBuf {
-        self.dir.join("fleet.ckpt")
-    }
-
-    /// Where a crash-hook telemetry dump lands (`crash.obs`, a
-    /// `uc.obs.v1` record next to the checkpoint).
-    pub fn obs_dump_path(&self) -> PathBuf {
-        self.dir.join("crash.obs")
-    }
-
-    /// `true` if the *next* successful save will trip the simulated
-    /// crash, i.e. the caller's last chance to dump telemetry.
-    pub fn kill_imminent(&self) -> bool {
-        self.kill_after.is_some_and(|limit| self.saves + 1 >= limit)
-    }
-
-    /// Persists one epoch-boundary checkpoint (atomically overwriting
-    /// the previous boundary), returning its path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PersistError`] from the underlying save.
-    pub fn save(&mut self, checkpoint: &FleetCheckpoint) -> Result<PathBuf, PersistError> {
-        let path = self.checkpoint_path();
-        checkpoint.save_to(&path)?;
-        self.saves += 1;
-        if let Some(limit) = self.kill_after {
-            if self.saves >= limit {
-                eprintln!(
-                    "fleet: simulated crash after {} checkpoint save(s) \
-                     (--kill-after {limit})",
-                    self.saves
-                );
-                std::process::exit(42);
-            }
-        }
-        Ok(path)
-    }
-
-    /// Loads the checkpoint if it exists, decodes cleanly and carries
-    /// `fingerprint`; anything else is reported on stderr and the fleet
-    /// starts fresh.
-    pub fn load_matching(&self, fingerprint: u32) -> Option<FleetCheckpoint> {
-        let path = self.checkpoint_path();
-        if !path.exists() {
-            return None;
-        }
-        match FleetCheckpoint::load_from(&path) {
-            Ok(checkpoint) if checkpoint.fingerprint == fingerprint => Some(checkpoint),
-            Ok(_) => {
-                eprintln!(
-                    "fleet: ignoring {} (taken under a different fleet \
-                     definition); starting fresh",
-                    path.display()
-                );
-                None
-            }
-            Err(e) => {
-                eprintln!("fleet: ignoring {}: {e}", path.display());
-                None
-            }
-        }
-    }
-}
-
 /// Runs the fleet experiment durably: every epoch boundary persists a
 /// [`FleetCheckpoint`] into `store`, and with `resume` the run continues
-/// from the on-disk boundary instead of from scratch.
+/// from the newest valid on-disk boundary instead of from scratch.
 ///
 /// Durability does not perturb the simulation: a run killed at any
 /// boundary and resumed from disk produces results **byte-identical** to
@@ -450,12 +308,12 @@ impl FleetStore {
 /// mismatch the run hits.
 pub fn run_durable(
     config: &FleetRunConfig,
-    store: &mut FleetStore,
+    store: &RecordStore<FleetCheckpoint>,
     resume: bool,
 ) -> Result<FleetContractReport, FleetRunError> {
     let fingerprint = fleet_fingerprint(config);
     let from_disk = if resume {
-        store.load_matching(fingerprint)
+        store.latest(SLOT, |checkpoint| checkpoint.fingerprint == fingerprint)
     } else {
         None
     };
@@ -486,7 +344,7 @@ pub fn run_durable(
         // flight recorder first so the dump names what the fleet was
         // doing at the boundary that "crashed".
         if store.kill_imminent() {
-            let _ = sim.obs_report().save_to(&store.obs_dump_path());
+            let _ = sim.obs_report().save_to(&store.path().join("crash.obs"));
         }
         store.save(&checkpoint).map_err(FleetRunError::Save)?;
     }
@@ -513,7 +371,7 @@ mod tests {
         config
     }
 
-    fn tempdir(tag: &str) -> PathBuf {
+    fn tempdir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir()
             .join("uc-fleet-exp-tests")
             .join(format!("{tag}-{}", std::process::id()));
@@ -536,20 +394,21 @@ mod tests {
         let plain = run(&config).unwrap();
         let dir = tempdir("durable");
 
-        let mut store = FleetStore::create(&dir).unwrap();
-        let durable = run_durable(&config, &mut store, false).unwrap();
+        let store = RecordStore::create(&dir).unwrap();
+        let durable = run_durable(&config, &store, false).unwrap();
         assert_eq!(store.saves(), config.fleet.epochs as u64);
         assert_eq!(render_fleet_report(&plain), render_fleet_report(&durable));
         // Telemetry is observational state: an uninterrupted durable run
         // sees the same history as a plain run, byte for byte.
         assert_eq!(plain.obs.render_text(), durable.obs.render_text());
 
-        // "Kill" after two epochs: run a fresh sim two epochs, persist,
-        // then resume from disk and finish.
+        // "Kill" after two epochs: run a fresh sim two epochs, persist
+        // into an empty directory, then resume from disk and finish.
         let mut partial = FleetSim::new(config.fleet.clone(), build_pool(&config));
         partial.run_epoch().unwrap();
         partial.run_epoch().unwrap();
-        let mut store = FleetStore::create(&dir).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = RecordStore::create(&dir).unwrap();
         store
             .save(&FleetCheckpoint {
                 fingerprint: fleet_fingerprint(&config),
@@ -559,7 +418,7 @@ mod tests {
             .unwrap();
         drop(partial);
 
-        let resumed = run_durable(&config, &mut store, true).unwrap();
+        let resumed = run_durable(&config, &store, true).unwrap();
         assert_eq!(render_fleet_report(&plain), render_fleet_report(&resumed));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -568,7 +427,7 @@ mod tests {
     fn stale_fingerprint_starts_fresh() {
         let config = small();
         let dir = tempdir("stale");
-        let mut store = FleetStore::create(&dir).unwrap();
+        let store = RecordStore::create(&dir).unwrap();
         let mut partial = FleetSim::new(config.fleet.clone(), build_pool(&config));
         partial.run_epoch().unwrap();
         store
@@ -578,7 +437,7 @@ mod tests {
                 devices: partial.checkpoint_devices(),
             })
             .unwrap();
-        let resumed = run_durable(&config, &mut store, true).unwrap();
+        let resumed = run_durable(&config, &store, true).unwrap();
         let plain = run(&config).unwrap();
         assert_eq!(render_fleet_report(&plain), render_fleet_report(&resumed));
         let _ = std::fs::remove_dir_all(&dir);
@@ -588,7 +447,7 @@ mod tests {
     fn checkpoint_file_roundtrips_and_rejects_corruption() {
         let config = small();
         let dir = tempdir("roundtrip");
-        let mut store = FleetStore::create(&dir).unwrap();
+        let store = RecordStore::create(&dir).unwrap();
         let mut sim = FleetSim::new(config.fleet.clone(), build_pool(&config));
         sim.run_epoch().unwrap();
         let checkpoint = FleetCheckpoint {
@@ -608,8 +467,13 @@ mod tests {
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x08;
         std::fs::write(&path, &flipped).unwrap();
-        assert!(FleetCheckpoint::load_from(&path).is_err());
-        assert!(store.load_matching(checkpoint.fingerprint).is_none());
+        assert!(matches!(
+            FleetCheckpoint::load_from(&path),
+            Err(DecodeError::ChecksumMismatch { .. })
+        ));
+        assert!(store
+            .latest(SLOT, |c| c.fingerprint == checkpoint.fingerprint)
+            .is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -630,20 +494,6 @@ mod tests {
                 > 0,
             "obs snapshot should reach into pool devices"
         );
-    }
-
-    #[test]
-    fn kill_imminent_fires_exactly_before_the_fatal_save() {
-        let dir = tempdir("imminent");
-        let store = FleetStore::create(&dir).unwrap().with_kill_after(2);
-        // saves == 0: the next save is #1, the crash fires after #2.
-        assert!(!store.kill_imminent());
-        let mut armed = store.clone();
-        armed.saves = 1; // next save is the killing one
-        assert!(armed.kill_imminent());
-        let unarmed = FleetStore::create(&dir).unwrap();
-        assert!(!unarmed.kill_imminent());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -40,6 +40,10 @@
 //! interference findings, epoch fairness, checkpoint-seam rebalancing,
 //! and a durable epoch-boundary checkpoint matching fig3's kill-resume
 //! determinism bar.
+//!
+//! All three long runs persist through one [`store`]: a
+//! [`RecordStore`] of per-boundary record files with prune-on-save and a
+//! newest-valid resume scan.
 
 pub mod executor;
 pub mod fig2;
@@ -47,19 +51,21 @@ pub mod fig3;
 pub mod fig4;
 pub mod fig5;
 pub mod fleet;
+pub mod store;
 pub mod table1;
 pub mod trace;
 
 pub use executor::Executor;
 pub use fig2::{Fig2Config, Fig2Result, LatencyCell, PatternGrid};
-pub use fig3::{CheckpointDir, DurableError, Fig3Checkpoint, Fig3Config, Fig3Result, SegmentedRun};
+pub use fig3::{DurableError, Fig3Checkpoint, Fig3Config, Fig3Result, SegmentedRun};
 pub use fig4::{Fig4Config, Fig4Result};
 pub use fig5::{Fig5Config, Fig5Result};
 pub use fleet::{
-    FleetCheckpoint, FleetContractReport, FleetFinding, FleetRunConfig, FleetRunError, FleetStore,
+    FleetCheckpoint, FleetContractReport, FleetFinding, FleetRunConfig, FleetRunError,
 };
+pub use store::{RecordStore, StoreRecord};
 pub use table1::{run as run_table1, Table1Row};
 pub use trace::{
     PhaseStat, TraceContractReport, TraceRun, TraceRunCheckpoint, TraceRunConfig, TraceRunError,
-    TraceRunResult, TraceStore, TraceViolation, TraceViolationKind,
+    TraceRunResult, TraceViolation, TraceViolationKind,
 };

@@ -30,10 +30,8 @@
 
 use crate::contract::thresholds::{TRACE_MAX_PHASE_LAG, TRACE_PHASE_LATENCY_BLOWUP};
 use crate::devices::{payload_codecs, DeviceKind, DeviceRoster};
+use crate::experiments::store::{RecordStore, StoreRecord};
 use crate::experiments::Executor;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use uc_blockdev::{CheckpointDevice, CheckpointError, DeviceCheckpoint, PersistError};
 use uc_persist::{DecodeError, Decoder, Encoder, Persist};
 use uc_sim::{SimDuration, SimTime};
@@ -345,19 +343,23 @@ pub struct TraceRunCheckpoint {
     pub driver: ReplayCheckpoint,
 }
 
-impl TraceRunCheckpoint {
-    /// The on-disk record kind tag of a serialized trace-run checkpoint.
-    /// Bump the suffix when the layout changes.
-    pub const RECORD_KIND: &'static str = "uc.trace-run.v1";
+/// The store slot of `kind`'s phase checkpoints.
+fn slot(kind: DeviceKind) -> String {
+    format!("trace-{}", kind.slug())
+}
 
-    /// Appends this checkpoint's wire form to `w`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::NotPersistent`] if the embedded device
-    /// checkpoint carries no persistence codec (roster-built devices
-    /// always do).
-    pub fn encode_into(&self, w: &mut Encoder) -> Result<(), PersistError> {
+impl StoreRecord for TraceRunCheckpoint {
+    const RECORD_KIND: &'static str = "uc.trace-run.v1";
+
+    fn slot(&self) -> String {
+        slot(self.kind)
+    }
+
+    fn boundary(&self) -> usize {
+        self.completed
+    }
+
+    fn encode_into(&self, w: &mut Encoder) -> Result<(), PersistError> {
         self.kind.encode(w);
         w.put_u32(self.fingerprint);
         self.milestones.encode(w);
@@ -368,13 +370,8 @@ impl TraceRunCheckpoint {
         Ok(())
     }
 
-    /// Parses a checkpoint back out of its wire form, thawing the device
-    /// payload through the roster's codec registry.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`DecodeError`] on any malformed input.
-    pub fn decode_from(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+    /// Thaws the device payload through the roster's codec registry.
+    fn decode_from(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         let kind = DeviceKind::decode(r)?;
         let fingerprint = r.get_u32()?;
         let milestones = Vec::<u64>::decode(r)?;
@@ -396,37 +393,6 @@ impl TraceRunCheckpoint {
             device,
             driver,
         })
-    }
-
-    /// Writes this checkpoint to `path` as a self-describing record file
-    /// (atomically: temp file + rename).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError`] on codec-less payloads or filesystem
-    /// failures.
-    pub fn save_to(&self, path: &Path) -> Result<(), PersistError> {
-        let mut w = Encoder::new();
-        self.encode_into(&mut w)?;
-        uc_persist::write_record_file(path, Self::RECORD_KIND, w.as_bytes())?;
-        Ok(())
-    }
-
-    /// Reads a checkpoint back from a record file written by
-    /// [`TraceRunCheckpoint::save_to`].
-    ///
-    /// # Errors
-    ///
-    /// Every failure is a typed [`DecodeError`], never a panic.
-    pub fn load_from(path: &Path) -> Result<Self, DecodeError> {
-        let (kind, payload) = uc_persist::read_record_file(path)?;
-        if kind != Self::RECORD_KIND {
-            return Err(DecodeError::UnknownKind { found: kind });
-        }
-        let mut r = Decoder::new(&payload);
-        let checkpoint = Self::decode_from(&mut r)?;
-        r.finish()?;
-        Ok(checkpoint)
     }
 }
 
@@ -742,124 +708,10 @@ impl From<ReplayError> for TraceRunError {
     }
 }
 
-/// A directory of durable trace-run checkpoints: one file per device
-/// (`trace-<slug>.ckpt`), atomically overwritten at every phase
-/// boundary, so the newest boundary is always the only one on disk and
-/// a crash can never leave a torn record (temp file + rename).
-///
-/// Cheaply cloneable and `Send + Sync`: the pipelined runner's worker
-/// threads share it.
-#[derive(Debug, Clone)]
-pub struct TraceStore {
-    dir: PathBuf,
-    kill_after: Option<u64>,
-    saves: Arc<AtomicU64>,
-}
-
-impl TraceStore {
-    /// Opens (creating if needed) a checkpoint directory.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the filesystem error if the directory cannot be
-    /// created.
-    pub fn create(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        Ok(TraceStore {
-            dir,
-            kill_after: None,
-            saves: Arc::new(AtomicU64::new(0)),
-        })
-    }
-
-    /// The directory holding the checkpoint files.
-    pub fn path(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Crash-testing hook: terminate the *process* (exit code 42)
-    /// immediately after the `n`-th successful checkpoint save — the
-    /// same deterministic stand-in for `kill -9` the fig3 crash-resume
-    /// gate uses. Never set in normal operation.
-    pub fn with_kill_after(mut self, saves: u64) -> Self {
-        self.kill_after = Some(saves);
-        self
-    }
-
-    /// Checkpoints saved through this store (and its clones) so far.
-    pub fn saves(&self) -> u64 {
-        self.saves.load(Ordering::Relaxed)
-    }
-
-    /// The checkpoint file path of `kind`.
-    pub fn device_path(&self, kind: DeviceKind) -> PathBuf {
-        self.dir.join(format!("trace-{}.ckpt", kind.slug()))
-    }
-
-    /// Persists one phase-boundary checkpoint (atomically overwriting
-    /// the device's previous boundary), returning its path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PersistError`] from the underlying save.
-    pub fn save(&self, checkpoint: &TraceRunCheckpoint) -> Result<PathBuf, PersistError> {
-        let path = self.device_path(checkpoint.kind);
-        checkpoint.save_to(&path)?;
-        let saved = self.saves.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(limit) = self.kill_after {
-            if saved >= limit {
-                eprintln!(
-                    "trace: simulated crash after {saved} checkpoint save(s) \
-                     (--kill-after {limit})"
-                );
-                std::process::exit(42);
-            }
-        }
-        Ok(path)
-    }
-
-    /// Loads `kind`'s checkpoint if it exists, decodes cleanly and
-    /// satisfies `accept`; anything else is reported on stderr and the
-    /// device starts fresh.
-    pub fn load_matching<F>(&self, kind: DeviceKind, accept: F) -> Option<TraceRunCheckpoint>
-    where
-        F: Fn(&TraceRunCheckpoint) -> bool,
-    {
-        let path = self.device_path(kind);
-        if !path.exists() {
-            return None;
-        }
-        match TraceRunCheckpoint::load_from(&path) {
-            Ok(checkpoint) if checkpoint.kind != kind => {
-                eprintln!(
-                    "trace: ignoring {} (names device {}, expected {kind})",
-                    path.display(),
-                    checkpoint.kind
-                );
-                None
-            }
-            Ok(checkpoint) if accept(&checkpoint) => Some(checkpoint),
-            Ok(_) => {
-                eprintln!(
-                    "trace: ignoring {} (taken under a different plan — \
-                     trace/config/phases); starting fresh",
-                    path.display()
-                );
-                None
-            }
-            Err(e) => {
-                eprintln!("trace: ignoring {}: {e}", path.display());
-                None
-            }
-        }
-    }
-}
-
 /// Runs the trace experiment like [`run_pipelined`], additionally
 /// persisting every phase-boundary checkpoint into `store` — and, with
-/// `resume`, continuing each device from its on-disk checkpoint instead
-/// of from scratch.
+/// `resume`, continuing each device from its newest valid on-disk
+/// checkpoint instead of from scratch.
 ///
 /// Durability does not perturb the simulation: a run killed at any
 /// boundary and resumed from disk produces results **byte-identical** to
@@ -879,7 +731,7 @@ pub fn run_pipelined_durable(
     trace: &Trace,
     cfg: &TraceRunConfig,
     exec: &Executor,
-    store: &TraceStore,
+    store: &RecordStore<TraceRunCheckpoint>,
     resume: bool,
 ) -> Result<Vec<TraceRunResult>, TraceRunError> {
     // As in `run_pipelined`, stages borrow the trace — no copy.
@@ -896,7 +748,9 @@ pub fn run_pipelined_durable(
         Vec::with_capacity(kinds.len());
     for &kind in kinds {
         let from_disk = if resume {
-            store.load_matching(kind, |checkpoint| plan.matches(checkpoint, &cfg.replay))
+            store.latest(&slot(kind), |checkpoint| {
+                checkpoint.kind == kind && plan.matches(checkpoint, &cfg.replay)
+            })
         } else {
             None
         };
@@ -1110,7 +964,7 @@ mod tests {
             .join("uc-trace-run-tests")
             .join(format!("roundtrip-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = TraceStore::create(&dir).unwrap();
+        let store = RecordStore::create(&dir).unwrap();
         let path = store.save(&checkpoint).unwrap();
         assert_eq!(store.saves(), 1);
 
@@ -1140,8 +994,8 @@ mod tests {
             TraceRunCheckpoint::load_from(&path),
             Err(DecodeError::ChecksumMismatch { .. })
         ));
-        // A stale file is skipped (fresh start), not an error.
-        assert!(store.load_matching(DeviceKind::Essd2, |_| true).is_none());
+        // A corrupt file is skipped (fresh start), not an error.
+        assert!(store.latest(&slot(DeviceKind::Essd2), |_| true).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1154,7 +1008,7 @@ mod tests {
             .join("uc-trace-run-tests")
             .join(format!("kill-resume-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = TraceStore::create(&dir).unwrap();
+        let store = RecordStore::create(&dir).unwrap();
         // Advance each device partway, persist, "crash" (drop state).
         for &kind in &DeviceKind::ALL {
             let mut partial = TraceRun::start(&roster, kind, &trace, &cfg).unwrap();
@@ -1194,7 +1048,7 @@ mod tests {
             .join("uc-trace-run-tests")
             .join(format!("stale-plan-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = TraceStore::create(&dir).unwrap();
+        let store = RecordStore::create(&dir).unwrap();
         // A checkpoint under a 3-phase plan…
         let cfg3 = TraceRunConfig::open_loop(3);
         let mut other = TraceRun::start(&roster, DeviceKind::LocalSsd, &trace, &cfg3).unwrap();

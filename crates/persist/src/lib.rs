@@ -23,10 +23,11 @@
 //!   self-describing on-disk envelope: an 8-byte magic, a format version,
 //!   a record-kind tag naming the payload type, the payload length, the
 //!   payload and a CRC-32 of everything after the magic. Files are
-//!   written atomically (temp file + rename) so a crash mid-write leaves
-//!   either the old checkpoint or none — never a torn one. The envelope
+//!   written atomically (temp file + rename, then a sync of the
+//!   directory) so a crash or power loss mid-write leaves either the old
+//!   checkpoint or none — never a torn one. The envelope
 //!   is self-describing, so [`read_record_from`] can also walk records
-//!   incrementally off any byte stream (a socket serving `uc.wire.v1`
+//!   incrementally off any byte stream (a socket serving `uc.wire.v2`
 //!   frames, a pipe of trace records) with every length field bounded
 //!   before it is trusted.
 //!
@@ -57,5 +58,6 @@ mod record;
 pub use codec::{DecodeError, Decoder, Encoder, Persist};
 pub use record::{
     crc32, decode_record, encode_record, peek_record_len, read_record_file, read_record_from,
-    write_record_file, Crc32, FORMAT_VERSION, MAGIC, MAX_STREAM_KIND_LEN, MAX_STREAM_PAYLOAD_LEN,
+    rename_durable, write_record_file, Crc32, FORMAT_VERSION, MAGIC, MAX_STREAM_KIND_LEN,
+    MAX_STREAM_PAYLOAD_LEN,
 };

@@ -206,7 +206,7 @@ fn fill_exact<R: Read + ?Sized>(reader: &mut R, buf: &mut [u8]) -> Result<(), De
 /// boundary) and `(kind, payload)` otherwise.
 ///
 /// This is the incremental twin of [`decode_record`] for sources without
-/// random access — a socket serving `uc.wire.v1` frames, a pipe of
+/// random access — a socket serving `uc.wire.v2` frames, a pipe of
 /// streamed trace records. The envelope is self-describing, so no outer
 /// length prefix is needed; the reader walks the fields, bounds every
 /// length (see [`MAX_STREAM_KIND_LEN`] / [`MAX_STREAM_PAYLOAD_LEN`]), and
@@ -353,9 +353,11 @@ pub fn peek_record_len(buf: &[u8]) -> Result<Option<usize>, DecodeError> {
     Ok(Some(total))
 }
 
-/// Writes a record file atomically: the bytes go to `<path>.tmp` first
-/// and are renamed into place, so a crash mid-write never leaves a torn
-/// record at `path`.
+/// Writes a record file atomically and durably: the bytes go to
+/// `<path>.tmp` first, are synced, and are renamed into place, so a
+/// crash mid-write never leaves a torn record at `path`. The parent
+/// directory is synced after the rename so the new name itself survives
+/// a power loss.
 ///
 /// # Errors
 ///
@@ -368,7 +370,24 @@ pub fn write_record_file(path: &Path, kind: &str, payload: &[u8]) -> io::Result<
         file.write_all(&record)?;
         file.sync_all()?;
     }
-    std::fs::rename(&tmp, path)
+    rename_durable(&tmp, path)
+}
+
+/// Renames the synced file `tmp` to `path`, then syncs `path`'s parent
+/// directory so the rename itself survives a power loss (a rename lives
+/// in the directory, which syncing the file does not flush).
+///
+/// # Errors
+///
+/// Propagates the rename error and any error opening or syncing the
+/// directory.
+pub fn rename_durable(tmp: &Path, path: &Path) -> io::Result<()> {
+    std::fs::rename(tmp, path)?;
+    let parent = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(parent)?.sync_all()
 }
 
 /// Reads and unwraps a record file, returning `(kind, payload)`.

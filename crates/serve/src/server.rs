@@ -958,7 +958,6 @@ mod tests {
     use super::*;
     use crate::net::Endpoint;
     use crate::pool::PoolConfig;
-    use crate::wire_v1::FrameV1;
     use uc_blockdev::BlockDevice;
     use uc_ssd::{Ssd, SsdConfig};
 
@@ -980,10 +979,10 @@ mod tests {
         };
 
         // A legacy client speaks v1 straight at the v2 server and gets a
-        // typed reject, not a decode failure.
+        // typed reject, not a decode failure. Only the kind tag matters:
+        // the server never decodes a v1 payload.
         let mut conn = endpoint.connect().unwrap();
-        FrameV1::OpenSession { device: 0 }
-            .write_to(&mut conn)
+        conn.write_all(&uc_persist::encode_record("uc.wire.open.v1", &[]))
             .unwrap();
         let reply = Frame::read_from(&mut conn).unwrap().expect("reject frame");
         match reply.body {

@@ -974,13 +974,14 @@ mod tests {
     }
 
     #[test]
-    fn v1_frames_are_foreign_to_v2_and_vice_versa() {
+    fn v1_frames_are_foreign_to_v2() {
         // The version seam is the kind tag: a v1 open does not decode as
-        // any v2 frame (and a v2 open is foreign to v1), so negotiation
-        // happens on typed UnknownKind, never mis-parsed payloads.
+        // any v2 frame, so negotiation happens on typed UnknownKind,
+        // never mis-parsed payloads.
         let err = Frame::from_parts("uc.wire.open.v1", &[]).unwrap_err();
         assert!(matches!(err, DecodeError::UnknownKind { .. }));
-        let err = crate::wire_v1::FrameV1::from_parts(KIND_OPEN, &[]).unwrap_err();
+        let v1 = encode_record("uc.wire.open.v1", &[]);
+        let err = Frame::read_from(&mut std::io::Cursor::new(v1)).unwrap_err();
         assert!(matches!(err, DecodeError::UnknownKind { .. }));
     }
 

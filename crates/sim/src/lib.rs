@@ -5,7 +5,6 @@
 //! built on:
 //!
 //! * [`SimTime`] / [`SimDuration`] — a nanosecond-resolution virtual clock,
-//! * [`EventQueue`] — a time-ordered event calendar with FIFO tie-breaking,
 //! * [`SimRng`] — a seedable, forkable random-number generator so every
 //!   experiment is reproducible bit-for-bit,
 //! * [`LatencyDist`] — latency distributions (constant, uniform, normal,
@@ -48,14 +47,12 @@
 
 mod dist;
 mod persist;
-mod queue;
 mod resource;
 mod rng;
 mod time;
 mod token;
 
 pub use dist::LatencyDist;
-pub use queue::EventQueue;
 pub use resource::{ParallelResource, ParallelResourceSnapshot, Resource, ResourceSnapshot};
 pub use rng::{RngSnapshot, SimRng};
 pub use time::{SimDuration, SimTime};

@@ -276,7 +276,7 @@ impl TraceWriter {
         self.file.write_all(&self.crc.finalize().to_le_bytes())?;
         self.file.flush()?;
         self.file.get_ref().sync_all()?;
-        std::fs::rename(&self.tmp, &self.path)
+        uc_persist::rename_durable(&self.tmp, &self.path)
     }
 }
 

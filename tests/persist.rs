@@ -13,7 +13,9 @@ use std::path::PathBuf;
 use unwritten_contract::blockdev::{CheckpointDevice, DeviceCheckpoint};
 use unwritten_contract::core::devices::{payload_codecs, DeviceKind, DeviceRoster};
 use unwritten_contract::core::experiments::fig3::{self, Fig3Config};
-use unwritten_contract::core::experiments::{Fig3Checkpoint, SegmentedRun};
+use unwritten_contract::core::experiments::{
+    Fig3Checkpoint, FleetCheckpoint, SegmentedRun, StoreRecord, TraceRunCheckpoint,
+};
 use unwritten_contract::essd::{Essd, EssdCheckpoint, EssdConfig};
 use unwritten_contract::persist::{DecodeError, Decoder, Encoder, Persist};
 use unwritten_contract::prelude::*;
@@ -85,7 +87,7 @@ fn sample_trace() -> unwritten_contract::workload::Trace {
 }
 
 /// A mid-run trace-phase checkpoint (device + paused replay driver).
-fn trace_run_checkpoint() -> unwritten_contract::core::experiments::TraceRunCheckpoint {
+fn trace_run_checkpoint() -> TraceRunCheckpoint {
     use unwritten_contract::core::experiments::trace::{TraceRun, TraceRunConfig};
     let roster = DeviceRoster::with_capacities(128 << 20, 128 << 20);
     let trace = sample_trace();
@@ -98,6 +100,23 @@ fn trace_run_checkpoint() -> unwritten_contract::core::experiments::TraceRunChec
     .unwrap();
     run.advance(&trace).unwrap();
     run.checkpoint()
+}
+
+/// A mid-run fleet checkpoint: the epoch-boundary snapshot plus every
+/// pool device's state.
+fn fleet_checkpoint() -> FleetCheckpoint {
+    use unwritten_contract::core::experiments::fleet::{build_pool, fleet_fingerprint};
+    use unwritten_contract::core::experiments::FleetRunConfig;
+    let mut config = FleetRunConfig::new(8, 2);
+    config.capacity = 64 << 20;
+    config.fleet = config.fleet.with_duration(SimDuration::from_millis(8));
+    let mut sim = FleetSim::new(config.fleet.clone(), build_pool(&config));
+    sim.run_epoch().unwrap();
+    FleetCheckpoint {
+        fingerprint: fleet_fingerprint(&config),
+        snapshot: sim.snapshot(),
+        devices: sim.checkpoint_devices(),
+    }
 }
 
 /// A populated `uc.obs.v1` telemetry record: counters, gauges and
@@ -126,12 +145,13 @@ fn obs_report() -> unwritten_contract::obs::ObsReport {
 }
 
 /// How a checkpoint file decodes: through the device-checkpoint reader,
-/// the fig3 reader, the trace-run reader, the binary-trace decoder, or
-/// the `uc.obs.v1` telemetry reader.
+/// the fig3, trace-run or fleet reader, the binary-trace decoder, or the
+/// `uc.obs.v1` telemetry reader.
 enum Reader {
     Device,
     Fig3,
     TraceRun,
+    Fleet,
     Trace,
     Obs,
 }
@@ -142,10 +162,8 @@ impl Reader {
             Reader::Device => DeviceCheckpoint::load_from(path, &payload_codecs()).map(|_| ()),
             Reader::Fig3 => Fig3Checkpoint::load_from(path).map(|_| ()),
             Reader::Obs => unwritten_contract::obs::ObsReport::load_from(path).map(|_| ()),
-            Reader::TraceRun => {
-                unwritten_contract::core::experiments::TraceRunCheckpoint::load_from(path)
-                    .map(|_| ())
-            }
+            Reader::TraceRun => TraceRunCheckpoint::load_from(path).map(|_| ()),
+            Reader::Fleet => FleetCheckpoint::load_from(path).map(|_| ()),
             // The in-memory decoder checks the envelope CRC before any
             // entry, so every byte-level mutation lands on the same
             // typed error the other record codecs report. (The
@@ -190,16 +208,19 @@ fn corruption_table_over_every_record_codec() {
     fig3_checkpoint().save_to(&fig3_path).unwrap();
     let trace_run_path = dir.join("trace-run.ckpt");
     trace_run_checkpoint().save_to(&trace_run_path).unwrap();
+    let fleet_path = dir.join("fleet.ckpt");
+    fleet_checkpoint().save_to(&fleet_path).unwrap();
     let trace_path = dir.join("t.trace");
     unwritten_contract::trace::save_trace(&trace_path, &sample_trace()).unwrap();
     let obs_path = dir.join("telemetry.obs");
     obs_report().save_to(&obs_path).unwrap();
 
-    let files: [(&str, PathBuf, Reader); 6] = [
+    let files: [(&str, PathBuf, Reader); 7] = [
         ("ssd", ssd_path, Reader::Device),
         ("essd", essd_path, Reader::Device),
         ("fig3", fig3_path, Reader::Fig3),
         ("trace-run", trace_run_path, Reader::TraceRun),
+        ("fleet", fleet_path, Reader::Fleet),
         ("trace", trace_path, Reader::Trace),
         ("obs", obs_path, Reader::Obs),
     ];
@@ -553,25 +574,18 @@ fn corruption_table_over_every_wire_frame_kind() {
         Err(DecodeError::UnknownKind { .. })
     ));
 
-    // Cross-version: a genuine `uc.wire.v1` frame is a typed
-    // `UnknownKind` to the v2 decoder (the hook version negotiation
-    // hangs off), while the retained v1 codec still reads it.
-    use unwritten_contract::serve::FrameV1;
-    let v1 = FrameV1::OpenSession { device: 2 }.encode();
-    let mut stream = std::io::Cursor::new(v1.clone());
+    // Cross-version: a `uc.wire.v1` frame is a typed `UnknownKind` to
+    // the v2 decoder (the hook version negotiation hangs off).
+    let v1 = unwritten_contract::persist::encode_record("uc.wire.open.v1", &2u32.to_le_bytes());
+    let mut stream = std::io::Cursor::new(v1);
     assert!(matches!(
         Frame::read_from(&mut stream),
-        Err(DecodeError::UnknownKind { .. })
+        Err(DecodeError::UnknownKind { found }) if found == "uc.wire.open.v1"
     ));
-    let mut stream = std::io::Cursor::new(v1);
-    assert_eq!(
-        FrameV1::read_from(&mut stream).unwrap().unwrap(),
-        FrameV1::OpenSession { device: 2 }
-    );
 }
 
 /// A record whose kind tag no reader knows dispatches to
-/// `UnknownKind` — for both the device reader and the fig3 reader.
+/// `UnknownKind` — for every record reader.
 #[test]
 fn unknown_record_kinds_are_typed() {
     let dir = temp_dir("unknown-kind");
@@ -586,7 +600,11 @@ fn unknown_record_kinds_are_typed() {
         Err(DecodeError::UnknownKind { .. })
     ));
     assert!(matches!(
-        unwritten_contract::core::experiments::TraceRunCheckpoint::load_from(&path),
+        TraceRunCheckpoint::load_from(&path),
+        Err(DecodeError::UnknownKind { .. })
+    ));
+    assert!(matches!(
+        FleetCheckpoint::load_from(&path),
         Err(DecodeError::UnknownKind { .. })
     ));
     assert!(matches!(

@@ -6,7 +6,7 @@ use unwritten_contract::flash::{FlashGeometry, FlashTiming};
 use unwritten_contract::ftl::{Ftl, FtlConfig, GcPolicy};
 use unwritten_contract::metrics::LatencyHistogram;
 use unwritten_contract::prelude::*;
-use unwritten_contract::sim::{EventQueue, TokenBucket};
+use unwritten_contract::sim::TokenBucket;
 
 /// Drives one op sequence against a fresh FTL and checks the mapping
 /// invariants after every operation. Shared by the fast default proptest
@@ -159,24 +159,6 @@ proptest! {
             prop_assert!(g >= last);
             last = g;
         }
-    }
-
-    // ---- event queue ----------------------------------------------------
-
-    #[test]
-    fn event_queue_pops_sorted(times in proptest::collection::vec(0u64..1_000_000, 0..300)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_nanos(t), i);
-        }
-        let mut last = SimTime::ZERO;
-        let mut n = 0;
-        while let Some((t, _)) = q.pop() {
-            prop_assert!(t >= last);
-            last = t;
-            n += 1;
-        }
-        prop_assert_eq!(n, times.len());
     }
 
     // ---- chunk map -------------------------------------------------------

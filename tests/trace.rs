@@ -132,7 +132,7 @@ fn trace_experiment_report_survives_threads_and_kill_resume() {
 
     // Kill-and-resume through the durable store.
     let dir = temp_dir("kill-resume");
-    let store = trace_exp::TraceStore::create(&dir).unwrap();
+    let store = unwritten_contract::core::experiments::RecordStore::create(&dir).unwrap();
     for &kind in &DeviceKind::ALL {
         let mut partial = trace_exp::TraceRun::start(&roster, kind, &trace, &cfg).unwrap();
         partial.advance(&trace).unwrap();
