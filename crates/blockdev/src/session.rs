@@ -54,7 +54,9 @@ pub struct SessionStats {
 
 /// A block device shared by several sessions.
 ///
-/// See the [module docs](self) for the queue discipline. `SharedDevice`
+/// The shared queue discipline: a request is never doorbelled earlier
+/// than the previously doorbelled one (late arrivals are clamped to the
+/// queue head, as a real submission queue does). `SharedDevice`
 /// is a thin multiplexer: open one session per tenant, submit each
 /// tenant's requests under its [`SessionId`], and read the per-session
 /// ledger back out of [`SharedDevice::stats`].

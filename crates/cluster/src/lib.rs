@@ -34,7 +34,7 @@ mod map;
 mod node;
 mod persist;
 
-pub use map::ChunkMap;
+pub use map::{ChunkMap, Fragments, Replicas, MAX_REPLICATION};
 pub use node::{NodeConfig, NodeStats, StorageNode, StorageNodeSnapshot};
 
 use uc_sim::{SimRng, SimTime};
@@ -76,9 +76,10 @@ impl ClusterConfig {
         self
     }
 
-    /// Replaces the replication factor (minimum 1; clamped to node count).
+    /// Replaces the replication factor (minimum 1; clamped to the node
+    /// count and to [`MAX_REPLICATION`]).
     pub fn with_replication(mut self, replication: usize) -> Self {
-        self.replication = replication.clamp(1, self.nodes);
+        self.replication = replication.clamp(1, self.nodes.min(MAX_REPLICATION));
         self
     }
 
@@ -133,8 +134,9 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics if `nodes == 0` or `replication == 0` (the `with_*` builders
-    /// keep configurations valid; this guards hand-rolled ones).
+    /// Panics if `nodes == 0` or `replication` is not in `[1, nodes]` or
+    /// exceeds [`MAX_REPLICATION`] (the `with_*` builders keep
+    /// configurations valid; this guards hand-rolled ones).
     pub fn new(config: ClusterConfig) -> Self {
         assert!(config.nodes > 0, "cluster needs at least one node");
         assert!(
@@ -188,8 +190,7 @@ impl Cluster {
         self.stats.bytes_written += len as u64;
         for (chunk, frag_len) in self.map.fragments(offset, len) {
             self.stats.write_fragments += 1;
-            let replicas = self.map.replicas(chunk);
-            for (i, node) in replicas.into_iter().enumerate() {
+            for (i, &node) in self.map.replicas(chunk).iter().enumerate() {
                 // Non-primary replicas see one extra backend hop.
                 let arrival = if i == 0 {
                     now

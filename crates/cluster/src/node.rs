@@ -1,6 +1,7 @@
 //! Storage node service model.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use uc_flash::{DiePool, DiePoolSnapshot, FlashTiming};
 use uc_sim::{LatencyDist, Resource, ResourceSnapshot, SimDuration, SimRng, SimTime};
 
@@ -113,6 +114,34 @@ pub struct NodeStats {
     pub bytes_read: u64,
 }
 
+/// Hashes the chunk-id keys of [`StorageNode`]'s lane map: one multiply
+/// and a rotate per key instead of SipHash. The rotate brings the
+/// product's high bits, which depend on every bit of the key, down to
+/// the low bits the table indexes by, so strided chunk ids do not pile
+/// into one bucket. Unkeyed, which is safe here: chunk ids are bounded by
+/// the device's capacity, and snapshots sort lanes by chunk, so the
+/// map's iteration order is never observed.
+#[derive(Debug, Clone, Copy, Default)]
+struct ChunkHasher(u64);
+
+impl Hasher for ChunkHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = (self.0 ^ key).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+type LaneMap = HashMap<u64, Resource, BuildHasherDefault<ChunkHasher>>;
+
 /// One storage server in the cluster.
 ///
 /// Serving model:
@@ -131,7 +160,7 @@ pub struct NodeStats {
 #[derive(Debug, Clone)]
 pub struct StorageNode {
     config: NodeConfig,
-    lanes: HashMap<u64, Resource>,
+    lanes: LaneMap,
     flash: DiePool,
     stats: NodeStats,
 }
@@ -141,7 +170,7 @@ impl StorageNode {
     pub fn new(config: NodeConfig) -> Self {
         StorageNode {
             flash: DiePool::new(config.flash_dies, config.flash_timing, config.flash_page),
-            lanes: HashMap::new(),
+            lanes: LaneMap::default(),
             stats: NodeStats::default(),
             config,
         }

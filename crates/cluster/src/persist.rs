@@ -8,6 +8,7 @@
 
 use crate::{
     ClusterConfig, ClusterSnapshot, ClusterStats, NodeConfig, NodeStats, StorageNodeSnapshot,
+    MAX_REPLICATION,
 };
 use uc_flash::{DiePoolSnapshot, FlashTiming};
 use uc_persist::{DecodeError, Decoder, Encoder, Persist};
@@ -106,7 +107,9 @@ impl Persist for ClusterConfig {
             placement_seed: r.get_u64()?,
         };
         // `Cluster::new`/`restore` assert these; reject here instead.
-        if config.nodes == 0 || !(1..=config.nodes).contains(&config.replication) {
+        if config.nodes == 0
+            || !(1..=config.nodes.min(MAX_REPLICATION)).contains(&config.replication)
+        {
             return Err(DecodeError::InvalidValue {
                 what: "ClusterConfig.replication",
             });
@@ -212,6 +215,23 @@ mod tests {
     fn invalid_replication_is_typed() {
         let mut snapshot = busy_cluster().snapshot();
         snapshot.config.replication = 0;
+        let mut w = Encoder::new();
+        snapshot.encode(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(
+            ClusterSnapshot::decode(&mut Decoder::new(&bytes)),
+            Err(DecodeError::InvalidValue {
+                what: "ClusterConfig.replication"
+            })
+        );
+    }
+
+    #[test]
+    fn replication_above_the_cap_is_typed() {
+        // Enough nodes that only the MAX_REPLICATION cap is violated.
+        let mut snapshot = busy_cluster().snapshot();
+        snapshot.config.replication = MAX_REPLICATION + 1;
+        assert!(snapshot.config.nodes > MAX_REPLICATION);
         let mut w = Encoder::new();
         snapshot.encode(&mut w);
         let bytes = w.into_bytes();

@@ -61,8 +61,9 @@ impl uc_persist::Persist for DeviceKind {
 
 /// The payload codecs of every device class the roster builds.
 ///
-/// This is the registry [`DeviceCheckpoint::load_from`]
-/// (`uc_blockdev::DeviceCheckpoint`) needs to thaw an on-disk checkpoint
+/// This is the registry
+/// [`DeviceCheckpoint::load_from`](uc_blockdev::DeviceCheckpoint::load_from)
+/// needs to thaw an on-disk checkpoint
 /// of *any* roster device: the record's kind tag selects the SSD or ESSD
 /// decoder, and an unknown tag fails typed instead of misparsing.
 pub fn payload_codecs() -> Vec<uc_blockdev::PayloadCodec> {

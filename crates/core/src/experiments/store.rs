@@ -20,8 +20,7 @@
 
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use uc_blockdev::PersistError;
 use uc_persist::{DecodeError, Decoder, Encoder};
 
@@ -95,12 +94,14 @@ pub trait StoreRecord: Sized {
 ///
 /// Cheaply cloneable and `Send + Sync`: clones share the save counter,
 /// so a pipelined runner's worker threads can save through it
-/// concurrently.
+/// concurrently. Saves are serialized on that counter's lock, so the
+/// crash hook fires after exactly the n-th save, never after a save a
+/// concurrent worker slipped in behind it.
 #[derive(Debug, Clone)]
 pub struct RecordStore<T> {
     dir: PathBuf,
     kill_after: Option<u64>,
-    saves: Arc<AtomicU64>,
+    saves: Arc<Mutex<u64>>,
     record: PhantomData<fn() -> T>,
 }
 
@@ -117,7 +118,7 @@ impl<T: StoreRecord> RecordStore<T> {
         Ok(RecordStore {
             dir,
             kill_after: None,
-            saves: Arc::new(AtomicU64::new(0)),
+            saves: Arc::new(Mutex::new(0)),
             record: PhantomData,
         })
     }
@@ -140,7 +141,13 @@ impl<T: StoreRecord> RecordStore<T> {
 
     /// Checkpoints saved through this store (and its clones) so far.
     pub fn saves(&self) -> u64 {
-        self.saves.load(Ordering::Relaxed)
+        *self.lock_saves()
+    }
+
+    /// The shared save counter. A worker that panicked mid-save leaves
+    /// the count it had; the files on disk stay valid either way.
+    fn lock_saves(&self) -> MutexGuard<'_, u64> {
+        self.saves.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// `true` if the *next* successful save trips the simulated crash:
@@ -166,6 +173,10 @@ impl<T: StoreRecord> RecordStore<T> {
         let slot = record.slot();
         let boundary = record.boundary();
         let path = self.file_path(&slot, boundary);
+        // Held from the write to the crash hook: a save that trips the
+        // hook exits with the lock held, so no other worker's save lands
+        // after it.
+        let mut saves = self.lock_saves();
         record.save_to(&path)?;
         // Best-effort: a failed delete leaves a superseded file that the
         // next save of this slot retries.
@@ -174,7 +185,8 @@ impl<T: StoreRecord> RecordStore<T> {
                 let _ = std::fs::remove_file(self.file_path(&slot, old));
             }
         }
-        let saved = self.saves.fetch_add(1, Ordering::Relaxed) + 1;
+        *saves += 1;
+        let saved = *saves;
         if let Some(limit) = self.kill_after {
             if saved >= limit {
                 eprintln!(

@@ -541,9 +541,10 @@ impl ServePool {
         ))
     }
 
-    /// Submits one batch under `sess`, applying ring bound, overload
-    /// shedding and the session's rate budget (see the [module
-    /// docs](self)).
+    /// Submits one batch under `sess`, applying, in order, the ring bound
+    /// ([`BusyReason::RingFull`]), overload shedding
+    /// ([`BusyReason::Overload`]) and the session's rate budget (an
+    /// over-budget batch is delayed, not refused).
     ///
     /// On success the returned [`InflightGuard`] holds the batch's
     /// admission slot; drop it once the completions have been delivered.

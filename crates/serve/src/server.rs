@@ -436,31 +436,22 @@ impl EventLoop {
         }
         self.stats.resumes += 1;
         let acked = |lane: u32| acks.iter().find(|a| a.lane == lane).map_or(0, |a| a.seq);
-        let replay: Vec<LaneAck> = self.sessions[si]
+        // One pass picks each lane to replay together with its cached
+        // bytes, so the replay list can never name a lane without them.
+        let (replay, replay_bytes): (Vec<LaneAck>, Vec<Vec<u8>>) = self.sessions[si]
             .lanes
             .iter()
             .enumerate()
             .filter_map(|(li, l)| {
-                l.cached.as_ref().and_then(|(cs, _)| {
-                    (*cs > acked(li as u32)).then_some(LaneAck {
-                        lane: li as u32,
-                        seq: *cs,
-                    })
-                })
+                let (cs, bytes) = l.cached.as_ref()?;
+                let ack = LaneAck {
+                    lane: li as u32,
+                    seq: *cs,
+                };
+                (*cs > acked(ack.lane)).then(|| (ack, bytes.clone()))
             })
-            .collect();
+            .unzip();
         let lanes = (self.sessions[si].lanes.len() - 1) as u32;
-        let replay_bytes: Vec<Vec<u8>> = replay
-            .iter()
-            .map(|a| {
-                self.sessions[si].lanes[a.lane as usize]
-                    .cached
-                    .as_ref()
-                    .expect("replay lane has a cache")
-                    .1
-                    .clone()
-            })
-            .collect();
         self.queue_frame(
             ci,
             Frame::new(
@@ -1029,5 +1020,107 @@ mod tests {
         assert_eq!(stats.sessions_served, 1);
         assert_eq!(stats.connections_accepted, 2);
         assert_eq!(stats.resumes, 0);
+    }
+
+    #[test]
+    fn resume_replays_the_cached_response_of_an_unacknowledged_lane() {
+        let pool = Arc::new(ServePool::new(
+            vec![(
+                "ssd".to_string(),
+                Box::new(Ssd::new(SsdConfig::samsung_970_pro(64 << 20)))
+                    as Box<dyn BlockDevice + Send>,
+            )],
+            PoolConfig::default(),
+        ));
+        let listener = Listener::bind(&Endpoint::parse("tcp:127.0.0.1:0").unwrap()).unwrap();
+        let endpoint = listener.local_endpoint().unwrap();
+        let server = {
+            let pool = Arc::clone(&pool);
+            std::thread::spawn(move || serve_events(&listener, &pool, 1))
+        };
+        let read = |conn: &mut _| Frame::read_from(conn).unwrap().expect("a frame");
+
+        // Open, attach one device lane and run one request on it.
+        let mut first = endpoint.connect().unwrap();
+        Frame::new(
+            FrameHeader::connection(),
+            Body::Open {
+                version: WIRE_VERSION,
+            },
+        )
+        .write_to(&mut first)
+        .unwrap();
+        let Body::OpenOk { token } = read(&mut first).body else {
+            panic!("expected OPEN_OK");
+        };
+        let control = |seq| FrameHeader {
+            session: token,
+            lane: CONTROL_LANE,
+            seq,
+        };
+        Frame::new(
+            control(1),
+            Body::Attach {
+                target: LaneTarget::Device(0),
+            },
+        )
+        .write_to(&mut first)
+        .unwrap();
+        let Body::AttachOk { lane, .. } = read(&mut first).body else {
+            panic!("expected ATTACH_OK");
+        };
+        let data = FrameHeader {
+            session: token,
+            lane,
+            seq: 1,
+        };
+        Frame::new(
+            data,
+            Body::Submit {
+                reqs: vec![uc_blockdev::IoRequest::write(
+                    0,
+                    4096,
+                    uc_sim::SimTime::ZERO,
+                )],
+            },
+        )
+        .write_to(&mut first)
+        .unwrap();
+        let answered = read(&mut first);
+        assert!(matches!(answered.body, Body::Completions { .. }));
+
+        // The client lost that answer: it resumes on a new connection
+        // acknowledging the control lane but not the data lane.
+        let mut second = endpoint.connect().unwrap();
+        Frame::new(
+            control(0),
+            Body::Resume {
+                acks: vec![
+                    LaneAck {
+                        lane: CONTROL_LANE,
+                        seq: 1,
+                    },
+                    LaneAck { lane, seq: 0 },
+                ],
+            },
+        )
+        .write_to(&mut second)
+        .unwrap();
+        assert_eq!(
+            read(&mut second).body,
+            Body::ResumeOk {
+                lanes: 1,
+                replay: vec![LaneAck { lane, seq: 1 }],
+            }
+        );
+        assert_eq!(read(&mut second), answered, "replayed byte for byte");
+
+        Frame::new(control(2), Body::Close)
+            .write_to(&mut second)
+            .unwrap();
+        assert_eq!(read(&mut second).body, Body::CloseOk);
+        let stats = server.join().unwrap().unwrap();
+        assert_eq!(stats.resumes, 1);
+        assert_eq!(stats.replays, 1);
     }
 }

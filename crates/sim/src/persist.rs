@@ -80,6 +80,12 @@ impl Persist for ParallelResourceSnapshot {
                 what: "ParallelResourceSnapshot.servers",
             });
         }
+        if servers.windows(2).any(|w| w[0] > w[1]) {
+            // The encoder only ever writes the canonical ascending form.
+            return Err(DecodeError::InvalidValue {
+                what: "ParallelResourceSnapshot.servers order",
+            });
+        }
         Ok(ParallelResourceSnapshot {
             servers,
             busy_time: SimDuration::decode(r)?,
@@ -257,6 +263,20 @@ mod tests {
             ParallelResourceSnapshot::decode(&mut Decoder::new(&bytes)),
             Err(DecodeError::InvalidValue {
                 what: "ParallelResourceSnapshot.servers"
+            })
+        );
+    }
+
+    #[test]
+    fn unsorted_servers_rejected() {
+        let mut w = Encoder::new();
+        vec![SimTime::from_nanos(20), SimTime::from_nanos(10)].encode(&mut w);
+        SimDuration::ZERO.encode(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(
+            ParallelResourceSnapshot::decode(&mut Decoder::new(&bytes)),
+            Err(DecodeError::InvalidValue {
+                what: "ParallelResourceSnapshot.servers order"
             })
         );
     }

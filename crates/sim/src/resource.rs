@@ -9,8 +9,7 @@
 //! and fast.
 
 use crate::{SimDuration, SimTime};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use uc_invariant::{ensure, Contract, Violation};
 
 /// A serialized FIFO station (one server).
@@ -50,11 +49,11 @@ pub struct ResourceSnapshot {
 /// The complete serializable state of a [`ParallelResource`].
 ///
 /// The per-server free-at instants are stored in ascending order — the
-/// canonical form — so two snapshots of behaviourally identical stations
-/// compare equal regardless of the internal heap layout they were captured
-/// from. Restoring from the sorted form is exact: the station only ever
-/// consults the *earliest-free* server, and servers with equal free-at
-/// instants are interchangeable.
+/// canonical form, and the live station's own layout — so two snapshots
+/// of behaviourally identical stations compare equal. Restoring from the
+/// sorted form is exact: the station only ever consults the
+/// *earliest-free* server, and servers with equal free-at instants are
+/// interchangeable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParallelResourceSnapshot {
     /// Per-server free-at instants, sorted ascending.
@@ -121,6 +120,16 @@ impl Resource {
 /// network connections. Each arriving request is assigned to the server
 /// that frees up earliest.
 ///
+/// The servers' free-at instants are kept as an ascending ring: the
+/// front is the earliest-free server and the back the last to drain. An
+/// acquire pops the front and puts the new finish back in order — at the
+/// back when it is the latest, otherwise at its binary-searched slot. The
+/// back is the common case: on an idle station, and within a run of
+/// equal-service requests from one arrival instant (a die pool's page
+/// loop), finishes come out in ascending order. The multiset of free-at
+/// instants, and so every `(start, finish)`, is exactly what a min-heap
+/// would produce.
+///
 /// # Example
 ///
 /// ```
@@ -138,7 +147,8 @@ impl Resource {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ParallelResource {
-    servers: BinaryHeap<Reverse<SimTime>>,
+    /// Per-server free-at instants, ascending.
+    servers: VecDeque<SimTime>,
     capacity: usize,
     busy_time: SimDuration,
 }
@@ -152,7 +162,7 @@ impl ParallelResource {
     pub fn new(servers: usize) -> Self {
         assert!(servers > 0, "ParallelResource requires at least one server");
         ParallelResource {
-            servers: (0..servers).map(|_| Reverse(SimTime::ZERO)).collect(),
+            servers: VecDeque::from(vec![SimTime::ZERO; servers]),
             capacity: servers,
             busy_time: SimDuration::ZERO,
         }
@@ -166,19 +176,25 @@ impl ParallelResource {
     /// Reserves the earliest-free server for `service` starting no earlier
     /// than `now`; returns `(start, finish)`.
     pub fn acquire(&mut self, now: SimTime, service: SimDuration) -> (SimTime, SimTime) {
-        let Reverse(free) = self.servers.pop().expect("at least one server");
+        let free = self.servers.pop_front().expect("at least one server");
         let start = now.max(free);
         let finish = start + service;
-        self.servers.push(Reverse(finish));
+        match self.servers.back() {
+            Some(&last) if finish < last => {
+                let slot = self.servers.partition_point(|&t| t <= finish);
+                self.servers.insert(slot, finish);
+            }
+            _ => self.servers.push_back(finish),
+        }
         self.busy_time += service;
-        // Contract hook (O(1)): the pop/push pair conserved the server
+        // Contract hook (O(1)): the pop/insert pair conserved the server
         // count — a lost server would silently serialize the station.
         uc_invariant::enforce(|| {
             ensure!(
                 self,
                 "server-count-conserved",
                 self.servers.len() == self.capacity,
-                "{} servers in heap, capacity {}",
+                "{} servers in ring, capacity {}",
                 self.servers.len(),
                 self.capacity
             );
@@ -189,19 +205,12 @@ impl ParallelResource {
 
     /// The earliest instant at which any server could start new work.
     pub fn free_at(&self) -> SimTime {
-        self.servers
-            .peek()
-            .map(|Reverse(t)| *t)
-            .unwrap_or(SimTime::ZERO)
+        self.servers.front().copied().unwrap_or(SimTime::ZERO)
     }
 
     /// The instant at which *all* currently scheduled work completes.
     pub fn drained_at(&self) -> SimTime {
-        self.servers
-            .iter()
-            .map(|Reverse(t)| *t)
-            .max()
-            .unwrap_or(SimTime::ZERO)
+        self.servers.back().copied().unwrap_or(SimTime::ZERO)
     }
 
     /// Total service time accumulated across all servers.
@@ -216,16 +225,16 @@ impl ParallelResource {
 
     /// Captures the station's complete state in canonical (sorted) form.
     pub fn snapshot(&self) -> ParallelResourceSnapshot {
-        let mut servers: Vec<SimTime> = self.servers.iter().map(|Reverse(t)| *t).collect();
-        servers.sort_unstable();
         ParallelResourceSnapshot {
-            servers,
+            servers: self.servers.iter().copied().collect(),
             busy_time: self.busy_time,
         }
     }
 
     /// Rebuilds a station that continues exactly where `snapshot` was
-    /// taken.
+    /// taken. A hand-built snapshot whose servers are out of order is
+    /// sorted first (servers are interchangeable, so order carries no
+    /// state).
     ///
     /// # Panics
     ///
@@ -235,16 +244,19 @@ impl ParallelResource {
             !snapshot.servers.is_empty(),
             "ParallelResource snapshot requires at least one server"
         );
+        let mut servers = snapshot.servers;
+        servers.sort_unstable();
         ParallelResource {
-            capacity: snapshot.servers.len(),
-            servers: snapshot.servers.into_iter().map(Reverse).collect(),
+            capacity: servers.len(),
+            servers: VecDeque::from(servers),
             busy_time: snapshot.busy_time,
         }
     }
 }
 
 /// Structural audit of a k-server station: the server pool never leaks or
-/// duplicates a server. O(servers).
+/// duplicates a server, and the ring stays ascending (the front must be
+/// the earliest-free server). O(servers).
 impl Contract for ParallelResource {
     fn contract_name(&self) -> &'static str {
         "uc-sim/ParallelResource"
@@ -261,9 +273,19 @@ impl Contract for ParallelResource {
             self,
             "server-count-conserved",
             self.servers.len() == self.capacity,
-            "{} servers in heap, capacity {}",
+            "{} servers in ring, capacity {}",
             self.servers.len(),
             self.capacity
+        );
+        ensure!(
+            self,
+            "servers-ascending",
+            self.servers
+                .iter()
+                .zip(self.servers.iter().skip(1))
+                .all(|(a, b)| a <= b),
+            "free-at ring out of order: {:?}",
+            self.servers
         );
         Ok(())
     }
@@ -359,6 +381,44 @@ mod tests {
             servers: Vec::new(),
             busy_time: SimDuration::ZERO,
         });
+    }
+
+    #[test]
+    fn restore_sorts_a_hand_built_snapshot() {
+        let us = |n| SimTime::ZERO + SimDuration::from_micros(n);
+        let mut pool = ParallelResource::restore(ParallelResourceSnapshot {
+            servers: vec![us(30), us(10), us(20)],
+            busy_time: SimDuration::ZERO,
+        });
+        assert!(pool.check().is_ok());
+        assert_eq!(pool.snapshot().servers, vec![us(10), us(20), us(30)]);
+        assert_eq!(pool.free_at(), us(10));
+        assert_eq!(pool.drained_at(), us(30));
+        assert_eq!(
+            pool.acquire(SimTime::ZERO, SimDuration::from_micros(5)),
+            (us(10), us(15))
+        );
+    }
+
+    #[test]
+    fn out_of_order_insert_keeps_the_ring_ascending() {
+        let mut pool = ParallelResource::new(3);
+        let d = SimDuration::from_micros;
+        pool.acquire(SimTime::ZERO, d(100));
+        pool.acquire(SimTime::ZERO, d(50));
+        // The idle third server finishes before both busy ones: the new
+        // instant goes mid-ring, not at the back.
+        pool.acquire(SimTime::ZERO, d(10));
+        let snap = pool.snapshot().servers;
+        assert_eq!(
+            snap,
+            vec![
+                SimTime::ZERO + d(10),
+                SimTime::ZERO + d(50),
+                SimTime::ZERO + d(100)
+            ]
+        );
+        assert!(pool.check().is_ok());
     }
 
     #[test]

@@ -24,8 +24,7 @@
 //!   cross-tenant order is a typed error, never a panic.
 //!
 //! Replay itself lives in `uc-workload`
-//! ([`replay_with`](uc_workload::replay_with) /
-//! [`TraceReplayJob`](uc_workload::TraceReplayJob)): batched through the
+//! ([`replay_with`] / [`TraceReplayJob`]): batched through the
 //! queue-pair API, timestamp-honouring with a `speed` factor, and
 //! resumable under the PR-3 checkpoint contract. Because the replayer
 //! only sees the `BlockDevice` seam, it drives remote devices too: point

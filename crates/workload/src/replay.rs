@@ -220,7 +220,10 @@ pub struct ReplayCheckpoint {
     pub finished: bool,
 }
 
-/// A resumable trace replay (see the [module docs](self) for semantics).
+/// A resumable trace replay: batched (entries sharing one speed-scaled
+/// arrival instant go through one doorbell ring), open or closed loop
+/// ([`ReplayMode`]), and checkpointable at entry-index milestones into a
+/// [`ReplayCheckpoint`] that resumes byte-identically.
 ///
 /// # Example
 ///

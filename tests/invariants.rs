@@ -150,6 +150,80 @@ proptest! {
         }
         prop_assert_eq!(station.capacity(), servers);
     }
+
+    // The ascending-ring station schedules exactly like the textbook
+    // min-heap k-server station: same `(start, finish)` per request and
+    // the same observable state after every step, for arrivals that jump
+    // backwards as well as forwards and service times that mix a few
+    // repeated values (the die pools' equal-service page loops) with
+    // arbitrary ones.
+    #[test]
+    fn parallel_resource_matches_min_heap_reference(
+        servers in 1usize..65,
+        ops in proptest::collection::vec((0u64..2_000, 0u8..4, 0u64..5_000), 1..160),
+    ) {
+        let mut ring = ParallelResource::new(servers);
+        let mut heap = HeapStation::new(servers);
+        for &(now_us, kind, raw) in &ops {
+            let now = SimTime::ZERO + SimDuration::from_micros(now_us);
+            let service = match kind {
+                0 => SimDuration::from_micros(50),
+                1 => SimDuration::from_micros(200),
+                2 => SimDuration::ZERO,
+                _ => SimDuration::from_nanos(raw * 997),
+            };
+            prop_assert_eq!(ring.acquire(now, service), heap.acquire(now, service));
+            prop_assert_eq!(ring.free_at(), heap.free_at());
+            prop_assert_eq!(ring.drained_at(), heap.drained_at());
+            prop_assert_eq!(ring.busy_time(), heap.busy_time);
+            prop_assert_eq!(ring.snapshot().servers, heap.sorted());
+            prop_assert_eq!(ring.snapshot().busy_time, heap.busy_time);
+        }
+        if let Err(v) = ring.check() {
+            return Err(TestCaseError::fail(v.to_string()));
+        }
+    }
+}
+
+/// The reference model for [`ParallelResource`]: a k-server FIFO station
+/// over a min-heap of free-at instants.
+struct HeapStation {
+    servers: std::collections::BinaryHeap<std::cmp::Reverse<SimTime>>,
+    busy_time: SimDuration,
+}
+
+impl HeapStation {
+    fn new(servers: usize) -> Self {
+        HeapStation {
+            servers: (0..servers)
+                .map(|_| std::cmp::Reverse(SimTime::ZERO))
+                .collect(),
+            busy_time: SimDuration::ZERO,
+        }
+    }
+
+    fn acquire(&mut self, now: SimTime, service: SimDuration) -> (SimTime, SimTime) {
+        let std::cmp::Reverse(free) = self.servers.pop().expect("at least one server");
+        let start = now.max(free);
+        let finish = start + service;
+        self.servers.push(std::cmp::Reverse(finish));
+        self.busy_time += service;
+        (start, finish)
+    }
+
+    fn free_at(&self) -> SimTime {
+        self.servers.peek().map(|r| r.0).unwrap()
+    }
+
+    fn drained_at(&self) -> SimTime {
+        self.servers.iter().map(|r| r.0).max().unwrap()
+    }
+
+    fn sorted(&self) -> Vec<SimTime> {
+        let mut servers: Vec<SimTime> = self.servers.iter().map(|r| r.0).collect();
+        servers.sort_unstable();
+        servers
+    }
 }
 
 // ---- CheckpointDevice seam: freeze/thaw exactness ---------------------

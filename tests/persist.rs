@@ -361,6 +361,39 @@ fn corruption_table_over_every_record_codec() {
         reader.load(path).unwrap();
     }
 
+    // Well-formed records (intact envelope and checksum) whose values no
+    // encoder writes: each must decode to its typed `InvalidValue`, so a
+    // later restore never panics on it.
+    type ValueMutation = (&'static str, fn(&mut EssdCheckpoint), &'static str);
+    let value_mutations: [ValueMutation; 2] = [
+        (
+            "die-pool servers out of order",
+            |snap| snap.cluster.nodes[0].flash.pool.servers[0] = SimTime::MAX,
+            "ParallelResourceSnapshot.servers order",
+        ),
+        (
+            "replication above MAX_REPLICATION",
+            |snap| {
+                snap.cluster.config.replication = unwritten_contract::cluster::MAX_REPLICATION + 1;
+            },
+            "ClusterConfig.replication",
+        ),
+    ];
+    let intact = CheckpointDevice::checkpoint(&busy_essd());
+    let path = dir.join("essd-values.ckpt");
+    for (mutation, mutate, what) in value_mutations {
+        let mut snap: EssdCheckpoint = intact.state::<EssdCheckpoint>().unwrap().clone();
+        mutate(&mut snap);
+        DeviceCheckpoint::persistent(intact.device(), snap)
+            .save_to(&path)
+            .unwrap();
+        assert_eq!(
+            Reader::Device.load(&path),
+            Err(DecodeError::InvalidValue { what }),
+            "essd: {mutation}"
+        );
+    }
+
     let _ = std::fs::remove_dir_all(&dir);
 }
 

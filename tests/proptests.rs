@@ -170,7 +170,11 @@ proptest! {
         len in 1u32..(64 << 20),
     ) {
         let map = ChunkMap::new(chunk_kib * 1024, 8, 3, 42);
-        let frags = map.fragments(offset, len);
+        let iter = map.fragments(offset, len);
+        let claimed = iter.len();
+        let frags: Vec<(u64, u32)> = iter.collect();
+        // The iterator's exact size is the number of fragments it yields.
+        prop_assert_eq!(claimed, frags.len());
         let total: u64 = frags.iter().map(|&(_, l)| l as u64).sum();
         prop_assert_eq!(total, len as u64);
         // Fragments are contiguous and chunk-monotone.
@@ -192,7 +196,8 @@ proptest! {
     ) {
         let map = ChunkMap::new(1 << 20, nodes, replication.min(nodes), seed);
         let replicas = map.replicas(chunk);
-        let mut sorted = replicas.clone();
+        prop_assert_eq!(replicas.len(), replication.min(nodes));
+        let mut sorted = replicas.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
         prop_assert_eq!(sorted.len(), replicas.len());
